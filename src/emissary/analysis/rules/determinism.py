@@ -68,6 +68,8 @@ HOT_FUNCTIONS = frozenset({
     "_run_set_tel",
     "_run_set_wide",
     "_dispatch",
+    "_ingest",
+    "_run_sets",
     "on_hit",
     "on_fill",
     "find_victim",

@@ -26,22 +26,24 @@ single ``numpy.random.Generator`` seeded once per run.  Policies index
 it by global access position, so RNG consumption is identical no matter
 the execution order.
 
-Streaming: :meth:`BatchedEngine.simulate_stream` (and the incremental
-:class:`EngineStream` behind it) accepts the trace as a sequence of
-``uint64`` address chunks — e.g. a :class:`~emissary.trace_io.
-TraceSource` reading a multi-GB file under a memory budget — and carries
-all replacement state, the RNG stream, and the MRU run collapsing across
-chunk boundaries, producing hit vectors and stats bit-identical to the
-one-shot :meth:`BatchedEngine.run` path.
+One pipeline: :class:`EngineStream` is the batched engine's only
+execution path.  It accepts the trace as a sequence of ``uint64``
+address chunks — e.g. a :class:`~emissary.trace_io.TraceSource` reading
+a multi-GB file under a memory budget — and carries all replacement
+state, the RNG stream, and the MRU run collapsing across chunk
+boundaries.  :meth:`BatchedEngine.simulate_stream` feeds it many chunks;
+:meth:`BatchedEngine.run` feeds it the whole trace as one chunk, resolved
+in a single dispatch, so streamed and one-shot outcomes agree by
+construction.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, TypeVar
 
 import numpy as np
 from numpy.typing import NDArray
@@ -56,7 +58,7 @@ from emissary.compiled import (
 )
 from emissary.policies import make_kernel, make_naive, policy_needs_rng
 from emissary.policies.base import PolicyKernel
-from emissary.telemetry import Telemetry, span_factory
+from emissary.telemetry import Telemetry, null_span, span_factory
 from emissary.traces import AddressArray
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -64,6 +66,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: Kernel backends a :class:`BatchedEngine` can execute with.
 KERNEL_BACKENDS = ("python", "compiled")
+
+_T = TypeVar("_T")
 
 
 def _make_engine_kernel(spec: PolicySpec, config: "CacheConfig",
@@ -233,20 +237,32 @@ class SimResult:
         )
 
 
-def decode_trace(addresses: AddressArray,
-                 config: CacheConfig) -> tuple[IndexArray, IndexArray]:
-    """Vectorized address -> (tag, set index) decode for the whole trace."""
-    addrs = np.ascontiguousarray(addresses, dtype=np.uint64)
-    lines = addrs >> np.uint64(config.offset_bits)
-    set_idx = (lines & np.uint64(config.num_sets - 1)).astype(np.int64)
-    tags = (lines >> np.uint64(config.set_bits)).astype(np.int64)
-    return tags, set_idx
-
-
 def _uniforms(n: int, policy: str, seed: int) -> UniformArray | None:
     if not policy_needs_rng(policy):
         return None
     return np.random.default_rng(seed).random(n)
+
+
+def _channel(values: IndexArray | None, n: int, name: str,
+             used: bool) -> IndexArray | None:
+    """Validate an optional per-access int64 side channel (cost, core);
+    None when absent or when nothing downstream reads it."""
+    if values is None:
+        return None
+    if len(values) != n:
+        raise ValueError(f"{name} has {len(values)} entries for {n} accesses")
+    return np.ascontiguousarray(values, dtype=np.int64) if used else None
+
+
+def _prepend(head: int | float | None, body: NDArray[Any] | None,
+             dtype: Any) -> Any:
+    """The carried run's channel value ahead of this step's runs.  A
+    channel absent from the step (``body`` None — the empty chunk a
+    flush resolves) still carries the run's own value."""
+    if head is None:
+        return body
+    first = np.array([head], dtype=dtype)
+    return first if body is None else np.concatenate([first, body])
 
 
 class BatchedEngine:
@@ -270,14 +286,12 @@ class BatchedEngine:
     """
 
     def __init__(self, config: CacheConfig | None = None,
-                 collapse_runs: bool = True,
                  telemetry: Telemetry | None = None,
                  sanitizer: "Sanitizer" | None = None,
                  kernel_backend: str = "python",
                  compiled_provider: str | None = None,
                  num_cores: int = 1) -> None:
         self.config = config or CacheConfig()
-        self.collapse_runs = collapse_runs
         #: How many front-ends feed this cache (execution context, not a
         #: policy parameter).  Injected into core-aware kernels; 1 for
         #: the ordinary single-stream engine.
@@ -301,167 +315,15 @@ class BatchedEngine:
     def run(self, addresses: AddressArray, policy: PolicySpec, seed: int = 0,
             keep_hits: bool = True, cost: IndexArray | None = None,
             core: IndexArray | None = None) -> SimResult:
+        """Simulate the whole trace as the single chunk of a one-shot
+        :class:`EngineStream`."""
         spec = require_policy_spec(policy, caller="BatchedEngine.run")
-        config = self.config
-        tel = self.telemetry
-        span = span_factory(tel)
-        n = len(addresses)
-        start = time.perf_counter()
-        with span("decode"):
-            addrs = np.ascontiguousarray(addresses, dtype=np.uint64)
-            lines = addrs >> np.uint64(config.offset_bits)
-            u = _uniforms(n, spec.name, seed)
-
-        kernel = _make_engine_kernel(spec, config, self.kernel_backend,
-                                     self.compiled_provider,
-                                     num_cores=self.num_cores)
-        if tel is not None:
-            kernel.attach_telemetry(tel)
-        if self.sanitizer is not None:
-            # After attach_telemetry, so the wrapper sees the bound loop.
-            self.sanitizer.attach_kernel(kernel)
-        if cost is not None:
-            if len(cost) != n:
-                raise ValueError(f"cost has {len(cost)} entries for {n} accesses")
-            if not kernel.consumes_cost:
-                cost = None  # cost-blind policy: skip the slicing work
-            else:
-                cost = np.ascontiguousarray(cost, dtype=np.int64)
-        if core is not None:
-            if len(core) != n:
-                raise ValueError(f"core has {len(core)} entries for {n} accesses")
-            if not getattr(kernel, "consumes_core", False):
-                core = None  # core-blind policy: skip the slicing work
-            else:
-                core = np.ascontiguousarray(core, dtype=np.int64)
-
-        work_rep: NDArray[np.bool_] | None = None
-        work_extra: IndexArray | None = None
-        with span("run_collapse"):
-            if self.collapse_runs and n > 1:
-                edge_mask = np.empty(n, dtype=bool)
-                edge_mask[0] = True
-                np.not_equal(lines[1:], lines[:-1], out=edge_mask[1:])
-                edge_idx = np.flatnonzero(edge_mask)
-                work_lines = lines[edge_idx]
-                work_u = u[edge_idx] if u is not None else None
-                work_cost = cost[edge_idx] if cost is not None else None
-                work_core = core[edge_idx] if core is not None else None
-                if kernel.needs_repeat_flags or tel is not None:
-                    # Run length per edge access; > 1 means the line is
-                    # re-referenced immediately after (the collapsed hits).
-                    run_lengths = np.diff(edge_idx, append=n)
-                    if kernel.needs_repeat_flags:
-                        work_rep = run_lengths > 1
-                    if tel is not None:
-                        # Collapsed hits folded into each edge access, so
-                        # instrumented per-line hit accounting stays exact.
-                        work_extra = run_lengths - 1
-            else:
-                edge_idx = None
-                work_lines = lines
-                work_u = u
-                work_cost = cost
-                work_core = core
-                if kernel.needs_repeat_flags:
-                    work_rep = np.zeros(len(work_lines), dtype=bool)
-                if tel is not None:
-                    work_extra = np.zeros(len(work_lines), dtype=np.int64)
-        m = len(work_lines)
-
-        if isinstance(kernel, CompiledKernel):
-            # Compiled dispatch stays in trace order (sets are
-            # independent, so per-set state evolution is identical) and
-            # needs no set-major sort — one native call per run.
-            with span("kernel_batch"):
-                set_idx = (work_lines
-                           & np.uint64(config.num_sets - 1)).astype(np.int64)
-                tags = (work_lines
-                        >> np.uint64(config.set_bits)).astype(np.int64)
-                work_hits = kernel.run_batch(set_idx, tags, work_u, work_rep,
-                                             work_cost, work_extra, work_core)
-                if tel is not None:
-                    kernel.telemetry_finalize()
-            if edge_idx is None:
-                hits = work_hits
-            else:
-                hits = np.ones(n, dtype=bool)  # collapsed accesses always hit
-                hits[edge_idx] = work_hits
-            return self._finish_run(spec, kernel, n, m, hits, keep_hits, start)
-
-        with span("stable_sort"):
-            set_idx = (work_lines & np.uint64(config.num_sets - 1)).astype(np.int64)
-            tags = (work_lines >> np.uint64(config.set_bits)).astype(np.int64)
-
-            # Stable sort groups accesses by set while preserving per-set order.
-            order = np.argsort(set_idx, kind="stable")
-            sorted_sets = set_idx[order]
-            sorted_tags = tags[order]
-            sorted_u = work_u[order] if work_u is not None else None
-            sorted_rep = work_rep[order] if work_rep is not None else None
-            sorted_cost = work_cost[order] if work_cost is not None else None
-            sorted_core = work_core[order] if work_core is not None else None
-            sorted_extra = work_extra[order] if work_extra is not None else None
-
-            # bounds[s] .. bounds[s + 1] is set s's contiguous chunk.
-            bounds = np.searchsorted(sorted_sets,
-                                     np.arange(config.num_sets + 1, dtype=np.int64))
-
-        sorted_hits = np.empty(m, dtype=bool)
-        with span("kernel_loop"):
-            for s in range(config.num_sets):
-                lo = int(bounds[s])
-                hi = int(bounds[s + 1])
-                if lo == hi:
-                    continue
-                chunk_u = sorted_u[lo:hi].tolist() if sorted_u is not None else None
-                chunk_rep = sorted_rep[lo:hi].tolist() if sorted_rep is not None else None
-                chunk_cost = sorted_cost[lo:hi].tolist() if sorted_cost is not None else None
-                chunk_core = sorted_core[lo:hi].tolist() if sorted_core is not None else None
-                chunk_extra = (sorted_extra[lo:hi].tolist()
-                               if sorted_extra is not None else None)
-                sorted_hits[lo:hi] = kernel.run_set(s, sorted_tags[lo:hi].tolist(),
-                                                    chunk_u, chunk_rep, chunk_cost,
-                                                    chunk_extra, chunk_core)
-            if tel is not None:
-                kernel.telemetry_finalize()
-
-        if edge_idx is None:
-            hits = np.empty(n, dtype=bool)
-            hits[order] = sorted_hits
-        else:
-            work_hits = np.empty(m, dtype=bool)
-            work_hits[order] = sorted_hits
-            hits = np.ones(n, dtype=bool)  # collapsed accesses are always hits
-            hits[edge_idx] = work_hits
-        return self._finish_run(spec, kernel, n, m, hits, keep_hits, start)
-
-    def _finish_run(self, spec: PolicySpec,
-                    kernel: "PolicyKernel | CompiledKernel", n: int, m: int,
-                    hits: BoolArray, keep_hits: bool,
-                    start: float) -> SimResult:
-        """Engine-level counters + result assembly (both kernel paths)."""
-        elapsed = time.perf_counter() - start
-        tel = self.telemetry
-        hit_count = int(hits.sum())
-        if tel is not None:
-            tel.inc("engine.accesses", n)
-            tel.inc("engine.edge_accesses", m)
-            tel.inc("engine.collapsed_hits", n - m)
-            tel.inc("hits", hit_count)
-            tel.inc("misses", n - hit_count)
-            if self.sanitizer is not None:
-                self.sanitizer.check_counters(tel, n, hit_count)
-        return SimResult(
-            policy=spec.name,
-            n=n,
-            hit_count=hit_count,
-            miss_count=n - hit_count,
-            elapsed_s=elapsed,
-            hits=hits if keep_hits else None,
-            policy_stats=kernel.extra_stats(),
-            telemetry=tel.to_dict() if tel is not None else None,
-        )
+        stream = EngineStream(self, spec, seed=seed, keep_hits=keep_hits,
+                              miss_lines=False, one_shot=True)
+        # The private step, not ``feed``: layerbench's tracer wraps both
+        # ``run`` and ``feed``, and must see each access once.
+        stream._ingest(addresses, cost, core, final=True)
+        return stream.finish()
 
     def stream(self, policy: PolicySpec, seed: int = 0,
                keep_hits: bool = True) -> "EngineStream":
@@ -483,28 +345,43 @@ class BatchedEngine:
         concatenated trace.  ``cost_chunks``, when given, must yield one
         cost array per address chunk (aligned lengths).
         """
-        stream = self.stream(policy, seed=seed, keep_hits=keep_hits)
-        span = span_factory(self.telemetry)
+        spec = require_policy_spec(policy, caller="BatchedEngine.stream")
+        stream = EngineStream(self, spec, seed=seed, keep_hits=keep_hits,
+                              miss_lines=False)
         cost_iter = iter(cost_chunks) if cost_chunks is not None else None
-        chunk_iter = iter(chunks)
-        while True:
-            with span("stream_ingest"):
-                chunk = next(chunk_iter, None)
-            if chunk is None:
-                break
-            cost = next(cost_iter) if cost_iter is not None else None
-            stream.feed(chunk, cost=cost)
+
+        def feed(chunk: AddressArray) -> None:
+            stream.feed(chunk, next(cost_iter) if cost_iter is not None else None)
+
+        feed_chunks(chunks, span_factory(self.telemetry), feed)
         return stream.finish()
 
 
+def feed_chunks(chunks: Iterable[_T], span: Any,
+                feed: Callable[[_T], None]) -> None:
+    """Pass each chunk to ``feed``, recording each pull (trace decode or
+    generation) as a ``stream_ingest`` span.  No chunk outlives its feed:
+    a view into a memory-mapped trace file keeps the whole file resident
+    while it is referenced."""
+    chunk_iter = iter(chunks)
+    while True:
+        with span("stream_ingest"):
+            chunk = next(chunk_iter, None)
+        if chunk is None:
+            return
+        feed(chunk)
+
+
 class EngineStream:
-    """Incremental counterpart of :meth:`BatchedEngine.run`.
+    """The batched pipeline behind every :class:`BatchedEngine` run.
 
     Feed ``uint64`` address chunks in trace order with :meth:`feed`; all
     replacement state (per-set kernel state, the RNG stream, MRU run
     collapsing) carries across chunk boundaries, so the assembled result
     is bit-identical to running the concatenated trace in one shot —
     while only one chunk (plus O(1) carried state) is resident at a time.
+    A ``one_shot`` stream takes the whole trace as its single chunk and
+    resolves it in one dispatch: that is :meth:`BatchedEngine.run`.
 
     The subtlety is run collapsing at chunk boundaries: an access's
     repeat flag (a fill immediately re-referenced — SRRIP inserts it at
@@ -519,12 +396,20 @@ class EngineStream:
     """
 
     def __init__(self, engine: "BatchedEngine", spec: PolicySpec, seed: int = 0,
-                 keep_hits: bool = True) -> None:
+                 keep_hits: bool = True, miss_lines: bool = True,
+                 one_shot: bool = False) -> None:
         config = engine.config
         self.config = config
         self.spec = spec
         self.keep_hits = keep_hits
-        self.collapse_runs = engine.collapse_runs
+        #: Whether :meth:`feed` / :meth:`flush` return the missing
+        #: accesses' lines (what a hierarchy forwards to the next level).
+        self.miss_lines = miss_lines
+        #: A one-shot stream resolves its single chunk whole, records
+        #: per-phase spans (decode / run_collapse / stable_sort /
+        #: kernel_loop) instead of per-chunk ones, and counts no
+        #: ``engine.stream_chunks``.
+        self.one_shot = one_shot
         self.telemetry = engine.telemetry
         self._span = span_factory(self.telemetry)
         self.kernel = _make_engine_kernel(spec, config, engine.kernel_backend,
@@ -546,215 +431,219 @@ class EngineStream:
         #: Trailing unresolved MRU run: (line, u, cost, core, length) or None.
         self._pending: tuple[int, float | None, int | None, int | None,
                              int] | None = None
-        #: Core ids of the misses returned by the latest ``feed``/``flush``
-        #: (aligned with its ``miss_lines``), or None for core-blind runs.
-        #: Per-chunk attribution can't be read off the *fed* cores because
-        #: resolved accesses trail fed accesses by the pending run.
-        self.last_miss_cores: IndexArray | None = None
-        self._track_cores = False
+        #: Misses per issuing core, tallied whenever a ``core`` channel is
+        #: fed (ids must lie in ``[0, engine.num_cores)``): the shared-L2
+        #: per-core breakdown.
+        self.miss_by_core = np.zeros(engine.num_cores, dtype=np.int64)
         self._flushed = False
         self._start = time.perf_counter()
 
     def feed(self, addresses: AddressArray,
              cost: IndexArray | None = None,
-             core: IndexArray | None = None) -> tuple[BoolArray, AddressArray]:
+             core: IndexArray | None = None
+             ) -> tuple[BoolArray | None, AddressArray | None]:
         """Process the next chunk of addresses (with optional per-access
         cost and issuing-core ids).
 
         Returns ``(hits, miss_lines)`` for the accesses *resolved* by
         this call: ``hits`` is their hit/miss outcomes in access order
-        (cumulatively concatenating to the one-shot hit vector), and
-        ``miss_lines`` the line numbers of the missing accesses in
-        order — what a hierarchy feeds to the next level.
+        (cumulatively concatenating to the one-shot hit vector; None when
+        the stream keeps no hits), and ``miss_lines`` the line numbers of
+        the missing accesses in order (None unless the stream was opened
+        with ``miss_lines=True``).  On a one-shot stream the chunk is the
+        whole trace and nothing is carried.
         """
+        if self.one_shot:
+            return self._ingest(addresses, cost, core, final=True)
+        index = self._chunk_index
+        with self._span("stream_chunk", chunk=index, accesses=len(addresses)):
+            out = self._ingest(addresses, cost, core, final=False)
+        self._chunk_index = index + 1
+        return out
+
+    def flush(self) -> tuple[BoolArray | None, AddressArray | None]:
+        """Resolve the carried trailing run (stream end).  Returns its
+        ``(hits, miss_lines)``; :meth:`feed` is an error afterwards."""
+        return self._ingest(np.zeros(0, dtype=np.uint64), None, None,
+                            final=True)
+
+    def _ingest(self, addresses: AddressArray, cost: IndexArray | None,
+                core: IndexArray | None,
+                final: bool) -> tuple[BoolArray | None, AddressArray | None]:
+        """One pipeline step: decode, collapse MRU runs, dispatch the
+        resolved edge accesses, fold outcomes in.  ``final`` resolves the
+        trailing run in the same dispatch instead of carrying it."""
         if self._flushed:
             raise RuntimeError("stream already flushed; start a new stream")
-        addrs = np.ascontiguousarray(addresses, dtype=np.uint64)
-        k_total = len(addrs)
-        if cost is not None:
-            if len(cost) != k_total:
-                raise ValueError(f"cost has {len(cost)} entries for "
-                                 f"{k_total} accesses")
-            if self.kernel.consumes_cost:
-                cost = np.ascontiguousarray(cost, dtype=np.int64)
-            else:
-                cost = None
-        if core is not None:
-            if len(core) != k_total:
-                raise ValueError(f"core has {len(core)} entries for "
-                                 f"{k_total} accesses")
-            # Kept even for core-blind kernels: ``last_miss_cores``
-            # attribution is an engine concern, not a policy one.
-            core = np.ascontiguousarray(core, dtype=np.int64)
-            self._track_cores = True
-        if self._track_cores:
-            # Reset every call so early returns (empty chunk, run
-            # continuation) never leave a stale attribution array.
-            self.last_miss_cores = np.zeros(0, dtype=np.int64)
-        u_chunk = self._rng.random(k_total) if self._rng is not None else None
-        self.n += k_total
-        index = self._chunk_index
-        self._chunk_index += 1
-        if k_total == 0:
-            return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.uint64)
-        with self._span("stream_chunk", chunk=index, accesses=k_total):
+        kernel = self.kernel
+        span = self._span if self.one_shot else null_span
+        with span("decode"):
+            addrs = np.ascontiguousarray(addresses, dtype=np.uint64)
+            k_total = len(addrs)
+            cost = _channel(cost, k_total, "cost", kernel.consumes_cost)
+            # Kept even for core-blind kernels: ``miss_by_core``.
+            core = _channel(core, k_total, "core", True)
             lines = addrs >> np.uint64(self.config.offset_bits)
+            u = self._rng.random(k_total) if self._rng is not None else None
+        self.n += k_total
+        self._flushed = final
+        with span("run_collapse"):
+            runs = self._collapse(lines, u, cost, core, final)
+        if runs is None:
+            return (np.zeros(0, dtype=bool) if self.keep_hits else None,
+                    np.zeros(0, dtype=np.uint64) if self.miss_lines else None)
+        run_lines, run_u, run_cost, run_core, rep, extra, starts, window = runs
+        kern_core = run_core if kernel.consumes_core else None
+        if isinstance(kernel, CompiledKernel):
+            # Trace-order native dispatch: sets are independent, so
+            # per-set state evolves identically without a set-major sort.
+            with span("kernel_batch"):
+                set_idx = (run_lines & np.uint64(self.config.num_sets - 1)
+                           ).astype(np.int64)
+                tags = (run_lines >> np.uint64(self.config.set_bits)
+                        ).astype(np.int64)
+                edge_hits = kernel.run_batch(set_idx, tags, run_u, rep,
+                                             run_cost, extra, kern_core)
+        else:
+            edge_hits = self._run_sets(kernel, run_lines, (run_u, rep, run_cost,
+                                                           extra, kern_core), span)
+        return self._resolve(run_lines, run_core, edge_hits, starts, window)
 
-            if not self.collapse_runs:
-                # Every access is its own length-1 run; nothing is carried.
-                return self._dispatch(lines, u_chunk, cost, core,
-                                      np.ones(k_total, dtype=np.int64))
-
-            pending = self._pending
-            if pending is not None:
-                pline, pu, pcost, pcore, pcount = pending
-                differs = np.flatnonzero(lines != np.uint64(pline))
-                if differs.size == 0:
-                    # Whole chunk continues the carried run.
-                    self._pending = (pline, pu, pcost, pcore,
-                                     pcount + k_total)
-                    return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.uint64)
-                k = int(differs[0])
-                pcount += k
-            else:
-                k = 0
-
+    def _collapse(self, lines: AddressArray, u: UniformArray | None,
+                  cost: IndexArray | None, core: IndexArray | None,
+                  final: bool) -> tuple[Any, ...] | None:
+        """Cut a chunk into the MRU runs it resolves, carrying the
+        trailing run unless ``final``.  Returns per-run (edge access)
+        ``(lines, u, cost, core, rep, extra)``, each run's offset among
+        the ``window`` accesses resolved, and ``window`` — or None."""
+        k_total = len(lines)
+        pending, self._pending = self._pending, None
+        k = 0  # accesses at the chunk head that continue the carried run
+        if pending is not None:
+            differs = np.flatnonzero(lines != np.uint64(pending[0]))
+            k = int(differs[0]) if differs.size else k_total
+            pending = (*pending[:4], pending[4] + k)
+            if k == k_total and not final:
+                self._pending = pending  # whole chunk continues the run
+                return None
+        edges: NDArray[np.intp]
+        if k < k_total:
             sub = lines[k:]
             edge_mask = np.empty(len(sub), dtype=bool)
             edge_mask[0] = True
             np.not_equal(sub[1:], sub[:-1], out=edge_mask[1:])
-            edge_pos = np.flatnonzero(edge_mask) + k
-            last_edge = int(edge_pos[-1])
-            inner = edge_pos[:-1]
-
-            run_lines = lines[inner]
-            run_u = u_chunk[inner] if u_chunk is not None else None
-            run_cost = cost[inner] if cost is not None else None
-            run_core = core[inner] if core is not None else None
-            run_lengths = np.diff(edge_pos).astype(np.int64)
-            if pending is not None:
-                run_lines = np.concatenate(
-                    [np.array([pline], dtype=np.uint64), run_lines])
-                run_lengths = np.concatenate(
-                    [np.array([pcount], dtype=np.int64), run_lengths])
-                if run_u is not None:
-                    run_u = np.concatenate(
-                        [np.array([pu], dtype=np.float64), run_u])
-                if run_cost is not None:
-                    run_cost = np.concatenate(
-                        [np.array([pcost], dtype=np.int64), run_cost])
-                if run_core is not None:
-                    run_core = np.concatenate(
-                        [np.array([pcore], dtype=np.int64), run_core])
+            edges = np.flatnonzero(edge_mask)
+            if k:
+                edges += k
+        else:
+            edges = np.zeros(0, dtype=np.intp)
+        end = k_total
+        if not final and len(edges):
+            end = int(edges[-1])
             self._pending = (
-                int(lines[last_edge]),
-                float(u_chunk[last_edge]) if u_chunk is not None else None,
-                int(cost[last_edge]) if cost is not None else None,
-                int(core[last_edge]) if core is not None else None,
-                k_total - last_edge,
+                int(lines[end]),
+                float(u[end]) if u is not None else None,
+                int(cost[end]) if cost is not None else None,
+                int(core[end]) if core is not None else None,
+                k_total - end,
             )
-            return self._dispatch(run_lines, run_u, run_cost, run_core,
-                                  run_lengths)
+            edges = edges[:-1]
+        if pending is None and not len(edges):
+            return None
 
-    def _dispatch(self, run_lines: AddressArray, run_u: UniformArray | None,
-                  run_cost: IndexArray | None,
-                  run_core: IndexArray | None,
-                  run_lengths: IndexArray) -> tuple[BoolArray, AddressArray]:
-        """Run the resolved runs' edge accesses through the kernel
-        (set-major, exactly like the one-shot path) and expand outcomes
-        back to per-access hits."""
-        m = len(run_lines)
-        if m == 0:
-            if run_core is not None:
-                self.last_miss_cores = np.zeros(0, dtype=np.int64)
-            return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.uint64)
+        run_lines = lines[edges]
+        run_u = u[edges] if u is not None else None
+        run_cost = cost[edges] if cost is not None else None
+        run_core = core[edges] if core is not None else None
+        starts: NDArray[Any] = edges
+        window = end
+        if pending is not None:
+            pline, pu, pcost, pcore, pcount = pending
+            run_lines = _prepend(pline, run_lines, np.uint64)
+            run_u = _prepend(pu, run_u, np.float64)
+            run_cost = _prepend(pcost, run_cost, np.int64)
+            run_core = _prepend(pcore, run_core, np.int64)
+            starts = np.concatenate(
+                [np.zeros(1, dtype=np.int64), edges + (pcount - k)])
+            window = pcount + end - k
+        rep: BoolArray | None = None
+        extra: NDArray[Any] | None = None
+        if self.kernel.needs_repeat_flags or self.telemetry is not None:
+            # Run length per edge access; > 1 means the line is
+            # re-referenced immediately after (the collapsed hits).
+            lengths: NDArray[Any] = np.diff(edges, append=end)
+            if pending is not None:
+                lengths = np.concatenate(
+                    [np.array([pending[4]], dtype=np.int64), lengths])
+            if self.kernel.needs_repeat_flags:
+                rep = lengths > 1
+            if self.telemetry is not None:
+                # Collapsed hits folded into each edge access, so
+                # instrumented per-line hit accounting stays exact.
+                extra = lengths - 1
+        return (run_lines, run_u, run_cost, run_core, rep, extra, starts,
+                window)
+
+    def _run_sets(self, kernel: PolicyKernel, run_lines: AddressArray,
+                  channels: tuple[Any, ...], span: Any) -> BoolArray:
+        """Python kernels: stable-sort the edge accesses by set and run
+        each present set's accesses as one contiguous ``run_set`` call.
+        ``channels`` is ``(u, rep, cost, extra, core)``, each array or
+        None, in trace order; returns the edge outcomes in trace order."""
         config = self.config
-        kernel = self.kernel
-        tel = self.telemetry
-        rep = run_lengths > 1 if kernel.needs_repeat_flags else None
-        extra = run_lengths - 1 if tel is not None else None
-        # Core-blind kernels never see the array, but miss attribution
-        # (``last_miss_cores``) still tracks it.
-        kern_core = (run_core
-                     if getattr(kernel, "consumes_core", False) else None)
-
-        set_idx = (run_lines & np.uint64(config.num_sets - 1)).astype(np.int64)
-        tags = (run_lines >> np.uint64(config.set_bits)).astype(np.int64)
-        if isinstance(kernel, CompiledKernel):
-            # Trace-order native dispatch: no set-major sort needed.
-            edge_hits = kernel.run_batch(set_idx, tags, run_u, rep,
-                                         run_cost, extra, kern_core)
-            return self._expand(run_lines, run_core, run_lengths, edge_hits)
-        order = np.argsort(set_idx, kind="stable")
-        sorted_sets = set_idx[order]
-        sorted_tags = tags[order]
-        sorted_u = run_u[order] if run_u is not None else None
-        sorted_rep = rep[order] if rep is not None else None
-        sorted_cost = run_cost[order] if run_cost is not None else None
-        sorted_core = kern_core[order] if kern_core is not None else None
-        sorted_extra = extra[order] if extra is not None else None
-
-        # Only the sets this batch actually touches (chunks are usually
-        # much smaller than the whole trace, so scanning every set per
-        # chunk would dominate).
-        present, first = np.unique(sorted_sets, return_index=True)
-        bounds = np.append(first, m)
+        m = len(run_lines)
+        with span("stable_sort"):
+            set_idx = (run_lines & np.uint64(config.num_sets - 1)).astype(np.int64)
+            tags = (run_lines >> np.uint64(config.set_bits)).astype(np.int64)
+            # Stable sort groups accesses by set while preserving per-set order.
+            order = np.argsort(set_idx, kind="stable")
+            sorted_sets = set_idx[order]
+            sorted_tags = tags[order]
+            sorted_channels = [c[order] if c is not None else None
+                               for c in channels]
+            # Only the sets present: each starts where the sorted set
+            # index changes (no per-set scan, no extra sort).
+            first = np.empty(m, dtype=bool)
+            first[0] = True
+            np.not_equal(sorted_sets[1:], sorted_sets[:-1], out=first[1:])
+            set_starts = np.flatnonzero(first)
+            present = sorted_sets[set_starts].tolist()
+            bounds = [*set_starts.tolist(), m]
         sorted_hits = np.empty(m, dtype=bool)
-        for which, s in enumerate(present.tolist()):
-            lo = int(bounds[which])
-            hi = int(bounds[which + 1])
-            chunk_u = sorted_u[lo:hi].tolist() if sorted_u is not None else None
-            chunk_rep = (sorted_rep[lo:hi].tolist()
-                         if sorted_rep is not None else None)
-            chunk_cost = (sorted_cost[lo:hi].tolist()
-                          if sorted_cost is not None else None)
-            chunk_core = (sorted_core[lo:hi].tolist()
-                          if sorted_core is not None else None)
-            chunk_extra = (sorted_extra[lo:hi].tolist()
-                           if sorted_extra is not None else None)
-            sorted_hits[lo:hi] = kernel.run_set(s, sorted_tags[lo:hi].tolist(),
-                                                chunk_u, chunk_rep, chunk_cost,
-                                                chunk_extra, chunk_core)
+        with span("kernel_loop"):
+            for which, s in enumerate(present):
+                lo, hi = bounds[which], bounds[which + 1]
+                sorted_hits[lo:hi] = kernel.run_set(
+                    s, sorted_tags[lo:hi].tolist(),
+                    *[c[lo:hi].tolist() if c is not None else None
+                      for c in sorted_channels])
         edge_hits = np.empty(m, dtype=bool)
         edge_hits[order] = sorted_hits
-        return self._expand(run_lines, run_core, run_lengths, edge_hits)
+        return edge_hits
 
-    def _expand(self, run_lines: AddressArray, run_core: IndexArray | None,
-                run_lengths: IndexArray,
-                edge_hits: BoolArray) -> tuple[BoolArray, AddressArray]:
-        """Expand run outcomes to per-access hits: each run contributes
-        its edge outcome followed by (length - 1) collapsed hits."""
-        total = int(run_lengths.sum())
-        hits = np.ones(total, dtype=bool)
-        starts = np.cumsum(run_lengths) - run_lengths
-        hits[starts] = edge_hits
-        self._edge_count += len(edge_hits)
-        self._hit_count += int(hits.sum())
+    def _resolve(self, run_lines: AddressArray, run_core: IndexArray | None,
+                 edge_hits: BoolArray, starts: NDArray[Any],
+                 window: int) -> tuple[BoolArray | None, AddressArray | None]:
+        """Fold resolved runs into the stream totals: each run is its
+        edge outcome followed by (length - 1) collapsed hits, so the hit
+        count needs no per-access vector."""
+        m = len(edge_hits)
+        self._edge_count += m
+        self._hit_count += window - m + int(np.count_nonzero(edge_hits))
+        hits: BoolArray | None = None
         if self.keep_hits:
+            hits = np.ones(window, dtype=bool)
+            hits[starts] = edge_hits
             self._hit_chunks.append(hits)
-        if run_core is not None:
-            self.last_miss_cores = run_core[~edge_hits]
-        return hits, run_lines[~edge_hits]
-
-    def flush(self) -> tuple[BoolArray, AddressArray]:
-        """Resolve the carried trailing run (stream end).  Returns its
-        ``(hits, miss_lines)``; :meth:`feed` is an error afterwards."""
-        if self._flushed:
-            raise RuntimeError("stream already flushed")
-        self._flushed = True
-        if self._track_cores:
-            self.last_miss_cores = np.zeros(0, dtype=np.int64)
-        pending = self._pending
-        self._pending = None
-        if pending is None:
-            return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.uint64)
-        pline, pu, pcost, pcore, pcount = pending
-        return self._dispatch(
-            np.array([pline], dtype=np.uint64),
-            np.array([pu], dtype=np.float64) if pu is not None else None,
-            np.array([pcost], dtype=np.int64) if pcost is not None else None,
-            np.array([pcore], dtype=np.int64) if pcore is not None else None,
-            np.array([pcount], dtype=np.int64))
+        miss_lines: AddressArray | None = None
+        if self.miss_lines or run_core is not None:
+            missed = ~edge_hits
+            if run_core is not None:
+                self.miss_by_core += np.bincount(
+                    run_core[missed], minlength=len(self.miss_by_core))
+            if self.miss_lines:
+                miss_lines = run_lines[missed]
+        return hits, miss_lines
 
     def finish(self) -> SimResult:
         """Flush (if not already flushed) and assemble the SimResult."""
@@ -766,14 +655,17 @@ class EngineStream:
             tel.inc("engine.accesses", self.n)
             tel.inc("engine.edge_accesses", self._edge_count)
             tel.inc("engine.collapsed_hits", self.n - self._edge_count)
-            tel.inc("engine.stream_chunks", self._chunk_index)
+            if not self.one_shot:
+                tel.inc("engine.stream_chunks", self._chunk_index)
             tel.inc("hits", self._hit_count)
             tel.inc("misses", self.n - self._hit_count)
             if self.sanitizer is not None:
                 self.sanitizer.check_counters(tel, self.n, self._hit_count)
         hits: BoolArray | None = None
         if self.keep_hits:
-            hits = (np.concatenate(self._hit_chunks) if self._hit_chunks
+            chunks = self._hit_chunks
+            hits = (chunks[0] if len(chunks) == 1
+                    else np.concatenate(chunks) if chunks
                     else np.zeros(0, dtype=bool))
         return SimResult(
             policy=self.spec.name,

@@ -5,22 +5,28 @@ is which lines cost L1I demand misses, so the paper's setting is an L2
 sitting behind an L1I filter.  This module provides that setting:
 
 :class:`BatchedHierarchyEngine` (the hot path)
-    Stage 1 simulates the L1I over the full trace with the batched
-    set-major engine (MRU run collapsing removes the ~90% of fetches
-    that re-touch the current line — those can never reach L2).  Only
-    the L1I *miss stream* proceeds to stage 2, together with each miss
-    line's running L1I miss count — the paper's priority signal,
-    measured rather than assumed.  Stage 2 runs the policy under test
-    over the miss stream on a second batched engine; cost-aware policies
-    (EMISSARY) receive the measured counts through the kernel ``cost``
-    channel and gate HP candidacy on them (``min_l1_misses``).
+    Stage 1 simulates the L1I with a batched
+    :class:`~emissary.engine.EngineStream` (MRU run collapsing removes
+    the ~90% of fetches that re-touch the current line — those can never
+    reach L2).  Only the L1I *miss stream* proceeds to stage 2, together
+    with each miss line's running L1I miss count from a
+    :class:`MissCountTable` — the paper's priority signal, measured
+    rather than assumed.  Stage 2 runs the policy under test over the
+    miss stream on a second stream; cost-aware policies (EMISSARY)
+    receive the measured counts through the kernel ``cost`` channel and
+    gate HP candidacy on them (``min_l1_misses``).  This is one chunked
+    pipeline over ``(addresses, core)`` chunks: a one-shot run is a
+    stream of one chunk, and a single-core run is the 1-core case of the
+    core-virtualized multi-core layout.
 
 :class:`HierarchyReferenceEngine` (the oracle)
     One straightforward Python iteration per trace access, interleaving
     the L1I lookup, the per-line miss counter, and the L2 access exactly
-    as a real fetch would.  The equivalence suite asserts bit-identical
-    L1 hit vectors, L2 hit vectors, and per-level stats against the
-    batched path.
+    as a real fetch would — one loop, single-core being its 1-core case.
+    It shares nothing with the batched path: separate naive L1I
+    instances per core and a dict-based miss counter.  The equivalence
+    suite asserts bit-identical L1 hit vectors, L2 hit vectors, and
+    per-level stats against the batched path.
 
 Randomness: only the L2 policy may consume uniforms (the L1I policy is
 required to be deterministic — LRU or SRRIP), drawn positionally over
@@ -35,16 +41,18 @@ from __future__ import annotations
 import time
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, cast
 
 import numpy as np
+from numpy.typing import NDArray
 
 from emissary.api import PolicySpec, require_policy_spec
 from emissary.wire import (WIRE_SCHEMA_KEY, WIRE_SCHEMA_VERSION,
                            check_known_keys, check_wire_version)
-from emissary.engine import BatchedEngine, CacheConfig, IndexArray, SimResult
+from emissary.engine import (BatchedEngine, BoolArray, CacheConfig,
+                             EngineStream, IndexArray, SimResult, feed_chunks)
 from emissary.policies import make_naive, policy_needs_rng
-from emissary.telemetry import Telemetry, span_factory
+from emissary.telemetry import Telemetry, null_span, span_factory
 from emissary.traces import MAX_CORES, AddressArray, CoreIdArray
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -267,30 +275,41 @@ def _per_core_stats(num_cores: int, n_by_core: IndexArray,
     return rows
 
 
-def _record_per_core(tel: Telemetry | None,
-                     per_core: list[dict[str, Any]]) -> None:
-    """Mirror the per-core breakdown into telemetry counters
-    (``core{c}.n`` / ``core{c}.l1_misses`` / ``core{c}.l2_misses``)."""
-    if tel is None:
-        return
-    for row in per_core:
-        c = row["core"]
-        tel.inc(f"core{c}.n", row["n"])
-        tel.inc(f"core{c}.l1_misses", row["l1_misses"])
-        tel.inc(f"core{c}.l2_misses", row["l2_misses"])
+def _hierarchy_result(policy: str, n: int, l1: SimResult, l2: SimResult,
+                      elapsed: float, tel: Telemetry | None, num_cores: int,
+                      per_core: list[dict[str, Any]] | None
+                      ) -> HierarchyResult:
+    """Assemble a run's result (shared by every engine).  A run with
+    per-core rows — any multi-core run — is a
+    :class:`MultiCoreHierarchyResult` and mirrors the rows into telemetry
+    counters (``core{c}.n`` / ``core{c}.l1_misses`` / ``core{c}.l2_misses``)."""
+    payload = None
+    if tel is not None:
+        for row in per_core or ():
+            c = row["core"]
+            tel.inc(f"core{c}.n", row["n"])
+            tel.inc(f"core{c}.l1_misses", row["l1_misses"])
+            tel.inc(f"core{c}.l2_misses", row["l2_misses"])
+        payload = tel.to_dict()
+    if per_core is None:
+        return HierarchyResult(policy=policy, n=n, l1=l1, l2=l2,
+                               elapsed_s=elapsed, telemetry=payload)
+    return MultiCoreHierarchyResult(policy=policy, n=n, l1=l1, l2=l2,
+                                    elapsed_s=elapsed, telemetry=payload,
+                                    num_cores=num_cores, per_core=per_core)
 
 
 class MissCountTable:
-    """Compacted running miss counters for the streamed hierarchy.
+    """Compacted running miss counters (per line, or per ``(core, line)``).
 
-    Replaces the previous unbounded ``dict[int, int]``: the keys (miss
-    lines, or core-virtualized ``(core, line)`` keys in multi-core runs)
-    live in one sorted ``uint64`` array with an ``int64`` count array
-    alongside — 16 bytes per unique key instead of ~100 for a dict slot,
-    and the whole table stays cache-friendly for the vectorized prior
-    lookups.  :meth:`advance` is outcome-identical to the dict walk: for
-    a batch of keys in stream order it returns each position's inclusive
-    running count, then folds the new totals in.
+    The keys (miss lines, or core-virtualized ``(core, line)`` keys in
+    multi-core runs) live in one sorted ``uint64`` array with an
+    ``int64`` count array alongside — 16 bytes per unique key instead of
+    ~100 for a dict slot, and the whole table stays cache-friendly for
+    the vectorized prior lookups.  :meth:`advance` is outcome-identical
+    to a per-key dict walk: for a batch of keys in stream order it
+    returns each position's inclusive running count, then folds the new
+    totals in.
     """
 
     def __init__(self) -> None:
@@ -318,58 +337,97 @@ class MissCountTable:
     def advance(self, keys: AddressArray) -> IndexArray:
         """Inclusive running count per position of ``keys`` (in stream
         order, continuing across calls), folding the batch into the
-        table."""
-        if len(keys) == 0:
+        table.  The batch is sorted once: its uniques, their positions
+        and the running counts all come from that one stable sort."""
+        m = len(keys)
+        if m == 0:
             return np.zeros(0, dtype=np.int64)
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        prior = np.zeros(len(uniq), dtype=np.int64)
-        if len(self._keys):
-            pos = np.searchsorted(self._keys, uniq)
-            pos_c = np.minimum(pos, len(self._keys) - 1)
-            known = self._keys[pos_c] == uniq
-            prior[known] = self._counts[pos_c[known]]
-        cost = prior[inverse] + running_miss_counts(keys)
-        totals = prior + np.bincount(inverse, minlength=len(uniq))
-        merged = np.union1d(self._keys, uniq)
-        counts = np.zeros(len(merged), dtype=np.int64)
-        if len(self._keys):
-            counts[np.searchsorted(merged, self._keys)] = self._counts
-        counts[np.searchsorted(merged, uniq)] = totals
-        self._keys = merged
-        self._counts = counts
-        return cost
+        groups = _sorted_groups(keys)
+        order, sorted_keys, first = groups
+        running = running_miss_counts(keys, groups)
+        starts = np.flatnonzero(first)
+        uniq = sorted_keys[starts]
+        # Occurrences per unique key in this batch.
+        totals = np.diff(starts, append=m).astype(np.int64, copy=False)
+        if not len(self._keys):
+            self._keys, self._counts = uniq, totals
+            return running
+        pos = np.searchsorted(self._keys, uniq)
+        pos_c = np.minimum(pos, len(self._keys) - 1)
+        known = self._keys[pos_c] == uniq
+        prior = np.where(known, self._counts[pos_c], 0)
+        inverse = np.empty(m, dtype=np.int64)
+        inverse[order] = np.cumsum(first) - 1
+        totals += prior
+        if known.all():
+            self._counts[pos] = totals
+            return running + prior[inverse]
+        # Merge the new keys in: each unique lands after the table keys
+        # below it and the new keys before it.
+        new = ~known
+        dest = pos + np.cumsum(new) - new
+        size = len(self._keys) + int(np.count_nonzero(new))
+        old_slot = np.ones(size, dtype=bool)
+        old_slot[dest[new]] = False
+        merged_keys = np.empty(size, dtype=np.uint64)
+        merged_keys[old_slot] = self._keys
+        merged_keys[dest] = uniq
+        merged_counts = np.empty(size, dtype=np.int64)
+        merged_counts[old_slot] = self._counts
+        merged_counts[dest] = totals
+        self._keys = merged_keys
+        self._counts = merged_counts
+        return running + prior[inverse]
 
 
-def running_miss_counts(lines: AddressArray) -> IndexArray:
+#: One stable sort of a key batch: ``(order, sorted_keys, first)``.
+SortedGroups = tuple[NDArray[np.intp], AddressArray, BoolArray]
+
+
+def _sorted_groups(lines: AddressArray) -> SortedGroups:
+    """One stable sort of ``lines``: ``(order, sorted_lines, first)``,
+    where ``first`` marks each equal-value group's first sorted slot."""
+    order = np.argsort(lines, kind="stable")
+    sorted_lines = lines[order]
+    first = np.empty(len(lines), dtype=bool)
+    first[0] = True
+    np.not_equal(sorted_lines[1:], sorted_lines[:-1], out=first[1:])
+    return order, sorted_lines, first
+
+
+def running_miss_counts(
+        lines: AddressArray,
+        groups: SortedGroups | None = None) -> IndexArray:
     """For each position, how many times its value has occurred so far
     (inclusive).  Vectorized: stable-sort groups equal lines, the rank
-    within each group is the running count."""
+    within each group is the running count.  ``groups`` is
+    :func:`_sorted_groups` of ``lines`` when the caller already has it."""
     m = len(lines)
     if m == 0:
         return np.zeros(0, dtype=np.int64)
-    order = np.argsort(lines, kind="stable")
-    sorted_lines = lines[order]
-    new_group = np.empty(m, dtype=bool)
-    new_group[0] = True
-    np.not_equal(sorted_lines[1:], sorted_lines[:-1], out=new_group[1:])
+    order, _, first = groups if groups is not None else _sorted_groups(lines)
     positions = np.arange(m, dtype=np.int64)
-    starts = np.maximum.accumulate(np.where(new_group, positions, 0))
+    starts = np.maximum.accumulate(np.where(first, positions, 0))
     counts = np.empty(m, dtype=np.int64)
     counts[order] = positions - starts + 1
     return counts
 
 
 class BatchedHierarchyEngine:
-    """L1I filter stage + L2 policy stage, both on the batched engine."""
+    """L1I filter stage + L2 policy stage, both on the batched engine.
+
+    Every entry point is a delegate of one private chunked pipeline
+    (:meth:`_pipeline`): a one-shot run is a stream of one chunk, and a
+    single-core run is the 1-core case of the multi-core layout
+    (``core_bits = 0``, so the virtual L1 equals ``config.l1``).
+    """
 
     def __init__(self, config: HierarchyConfig | None = None,
-                 collapse_runs: bool = True,
                  telemetry: Telemetry | None = None,
                  sanitizer: "Sanitizer" | None = None,
                  kernel_backend: str = "python",
                  compiled_provider: str | None = None) -> None:
         self.config = config or HierarchyConfig()
-        self.collapse_runs = collapse_runs
         #: Optional :class:`~emissary.telemetry.Telemetry`; each stage
         #: records into its own child registry, merged here with ``l1.``
         #: / ``l2.`` prefixes.
@@ -383,58 +441,11 @@ class BatchedHierarchyEngine:
         self.kernel_backend = kernel_backend
         self.compiled_provider = compiled_provider
 
-    def _stage_engine(self, config: CacheConfig,
-                      telemetry: Telemetry | None,
-                      num_cores: int = 1) -> BatchedEngine:
-        return BatchedEngine(config, collapse_runs=self.collapse_runs,
-                             telemetry=telemetry, sanitizer=self.sanitizer,
-                             kernel_backend=self.kernel_backend,
-                             compiled_provider=self.compiled_provider,
-                             num_cores=num_cores)
-
     def run(self, addresses: AddressArray, policy: PolicySpec, seed: int = 0,
             keep_hits: bool = True) -> HierarchyResult:
         spec = require_policy_spec(policy, caller="BatchedHierarchyEngine.run")
-        config = self.config
-        tel = self.telemetry
-        span = span_factory(tel)
-        l1_tel = Telemetry() if tel is not None else None
-        l2_tel = Telemetry() if tel is not None else None
-        n = len(addresses)
-        start = time.perf_counter()
-        addrs = np.ascontiguousarray(addresses, dtype=np.uint64)
-
-        l1 = self._stage_engine(config.l1, l1_tel)
-        with span("l1_stage"):
-            l1_result = l1.run(addrs, PolicySpec(config.l1_policy), seed=seed,
-                               keep_hits=True)
-
-        with span("miss_extract"):
-            miss_addrs = addrs[~l1_result.hits]
-            miss_lines = miss_addrs >> np.uint64(config.l1.offset_bits)
-            l1_miss_counts = running_miss_counts(miss_lines)
-
-        l2 = self._stage_engine(config.l2, l2_tel)
-        with span("l2_stage"):
-            l2_result = l2.run(miss_addrs, spec, seed=seed, keep_hits=keep_hits,
-                               cost=l1_miss_counts)
-        l2_result.policy_stats.setdefault(
-            "unique_l1_miss_lines", int(len(np.unique(miss_lines))))
-
-        if not keep_hits:
-            l1_result.hits = None
-        elapsed = time.perf_counter() - start
-        telemetry_payload = None
-        if tel is not None:
-            tel.merge_prefixed(l1_tel, "l1.")
-            tel.merge_prefixed(l2_tel, "l2.")
-            # The merged payload is the single canonical blob; drop the
-            # per-stage copies so the serialized result stays compact.
-            l1_result.telemetry = None
-            l2_result.telemetry = None
-            telemetry_payload = tel.to_dict()
-        return HierarchyResult(policy=spec.name, n=n, l1=l1_result, l2=l2_result,
-                               elapsed_s=elapsed, telemetry=telemetry_payload)
+        return self._pipeline(spec, [(addresses, None)], 1, seed, keep_hits,
+                              None, multicore=False, one_shot=True)
 
     def run_multicore(self, addresses: AddressArray, core_ids: CoreIdArray,
                       policy: PolicySpec, num_cores: int | None = None,
@@ -453,73 +464,10 @@ class BatchedHierarchyEngine:
         """
         spec = require_policy_spec(
             policy, caller="BatchedHierarchyEngine.run_multicore")
-        config = self.config
-        tel = self.telemetry
-        span = span_factory(tel)
-        l1_tel = Telemetry() if tel is not None else None
-        l2_tel = Telemetry() if tel is not None else None
-        n = len(addresses)
-        start = time.perf_counter()
-        addrs = np.ascontiguousarray(addresses, dtype=np.uint64)
-        core, num_cores = _check_core_ids(core_ids, n, num_cores)
-        core_bits, core_pad, v_l1 = _core_virtual_layout(config.l1, num_cores)
-        offset_bits = config.l1.offset_bits
-
-        lines = addrs >> np.uint64(offset_bits)
-        if n and core_bits and (
-                int(lines.max()) >> (64 - offset_bits - core_bits)):
-            raise ValueError(
-                f"address lines need more than {64 - offset_bits - core_bits} "
-                f"bits; no headroom for {core_bits} core bits")
-        vlines = (lines << np.uint64(core_bits)) | core.astype(np.uint64)
-
-        l1 = self._stage_engine(v_l1, l1_tel)
-        with span("l1_stage"):
-            l1_result = l1.run(vlines << np.uint64(offset_bits),
-                               PolicySpec(config.l1_policy), seed=seed,
-                               keep_hits=True)
-
-        with span("miss_extract"):
-            miss_vlines = vlines[~l1_result.hits]
-            miss_cores = (miss_vlines
-                          & np.uint64(core_pad - 1)).astype(np.int64)
-            miss_addrs = (miss_vlines >> np.uint64(core_bits)) \
-                << np.uint64(offset_bits)
-            # Per-(core, line) running counts: the virtual line *is* the
-            # (core, line) key, so each private L1I's miss count for a
-            # line advances independently.
-            l1_miss_counts = running_miss_counts(miss_vlines)
-
-        l2 = self._stage_engine(config.l2, l2_tel, num_cores=num_cores)
-        with span("l2_stage"):
-            l2_result = l2.run(miss_addrs, spec, seed=seed, keep_hits=True,
-                               cost=l1_miss_counts, core=miss_cores)
-        l2_result.policy_stats.setdefault(
-            "unique_l1_miss_lines", int(len(np.unique(miss_vlines))))
-
-        n_by_core = np.bincount(core, minlength=num_cores)
-        l1_miss_by_core = np.bincount(miss_cores, minlength=num_cores)
-        l2_miss_by_core = np.bincount(miss_cores[~l2_result.hits],
-                                      minlength=num_cores)
-        per_core = _per_core_stats(num_cores, n_by_core, l1_miss_by_core,
-                                   l2_miss_by_core)
-
-        if not keep_hits:
-            l1_result.hits = None
-            l2_result.hits = None
-        elapsed = time.perf_counter() - start
-        telemetry_payload = None
-        if tel is not None:
-            tel.merge_prefixed(l1_tel, "l1.")
-            tel.merge_prefixed(l2_tel, "l2.")
-            _record_per_core(tel, per_core)
-            l1_result.telemetry = None
-            l2_result.telemetry = None
-            telemetry_payload = tel.to_dict()
-        return MultiCoreHierarchyResult(
-            policy=spec.name, n=n, l1=l1_result, l2=l2_result,
-            elapsed_s=elapsed, telemetry=telemetry_payload,
-            num_cores=num_cores, per_core=per_core)
+        core, num_cores = _check_core_ids(core_ids, len(addresses), num_cores)
+        return cast(MultiCoreHierarchyResult, self._pipeline(
+            spec, [(addresses, core)], num_cores, seed, keep_hits, None,
+            multicore=True, one_shot=True))
 
     def simulate_stream(self, chunks: Iterable[AddressArray],
                         policy: PolicySpec, seed: int = 0,
@@ -547,77 +495,9 @@ class BatchedHierarchyEngine:
         """
         spec = require_policy_spec(
             policy, caller="BatchedHierarchyEngine.simulate_stream")
-        if chunk_bytes is not None and chunk_bytes <= 0:
-            raise ValueError(f"chunk_bytes must be positive or None, "
-                             f"got {chunk_bytes}")
-        config = self.config
-        tel = self.telemetry
-        span = span_factory(tel)
-        l1_tel = Telemetry() if tel is not None else None
-        l2_tel = Telemetry() if tel is not None else None
-        start = time.perf_counter()
-
-        l1_engine = self._stage_engine(config.l1, l1_tel)
-        l2_engine = self._stage_engine(config.l2, l2_tel)
-        l1_stream = l1_engine.stream(PolicySpec(config.l1_policy), seed=seed,
-                                     keep_hits=keep_hits)
-        l2_stream = l2_engine.stream(spec, seed=seed, keep_hits=keep_hits)
-
-        offset_bits = np.uint64(config.l1.offset_bits)
-        miss_counts = MissCountTable()
-        pending: list[AddressArray] = []
-        pending_bytes = 0
-
-        def advance(miss_lines: AddressArray) -> None:
-            """Extend the running per-line L1I miss counts and feed the
-            resolved miss stream (with measured costs) into L2."""
-            if len(miss_lines) == 0:
-                return
-            with span("miss_extract"):
-                cost = miss_counts.advance(miss_lines)
-            l2_stream.feed(miss_lines << offset_bits, cost=cost)
-
-        def enqueue(miss_lines: AddressArray, flush: bool = False) -> None:
-            """Buffer miss lines; forward to L2 once the coalescing
-            budget fills (or unconditionally on flush)."""
-            nonlocal pending_bytes
-            if len(miss_lines):
-                pending.append(miss_lines)
-                pending_bytes += miss_lines.nbytes
-            if pending and (flush or chunk_bytes is None
-                            or pending_bytes >= chunk_bytes):
-                batch = (pending[0] if len(pending) == 1
-                         else np.concatenate(pending))
-                pending.clear()
-                pending_bytes = 0
-                advance(batch)
-
-        chunk_iter = iter(chunks)
-        while True:
-            with span("stream_ingest"):
-                chunk = next(chunk_iter, None)
-            if chunk is None:
-                break
-            _, miss_lines = l1_stream.feed(chunk)
-            enqueue(miss_lines)
-        _, tail_miss = l1_stream.flush()
-        enqueue(tail_miss, flush=True)
-
-        l1_result = l1_stream.finish()
-        l2_result = l2_stream.finish()
-        l2_result.policy_stats.setdefault("unique_l1_miss_lines",
-                                          len(miss_counts))
-        elapsed = time.perf_counter() - start
-        telemetry_payload = None
-        if tel is not None:
-            tel.merge_prefixed(l1_tel, "l1.")
-            tel.merge_prefixed(l2_tel, "l2.")
-            l1_result.telemetry = None
-            l2_result.telemetry = None
-            telemetry_payload = tel.to_dict()
-        return HierarchyResult(policy=spec.name, n=l1_result.n, l1=l1_result,
-                               l2=l2_result, elapsed_s=elapsed,
-                               telemetry=telemetry_payload)
+        return self._pipeline(spec, ((chunk, None) for chunk in chunks), 1,
+                              seed, keep_hits, chunk_bytes, multicore=False,
+                              one_shot=False)
 
     def simulate_stream_multicore(
             self, chunks: Iterable[tuple[AddressArray, CoreIdArray]],
@@ -638,130 +518,148 @@ class BatchedHierarchyEngine:
         """
         spec = require_policy_spec(
             policy, caller="BatchedHierarchyEngine.simulate_stream_multicore")
-        if chunk_bytes is not None and chunk_bytes <= 0:
-            raise ValueError(f"chunk_bytes must be positive or None, "
-                             f"got {chunk_bytes}")
         if num_cores is None:
             raise ValueError("simulate_stream_multicore needs an explicit "
                              "num_cores (the virtual L1 geometry is fixed "
                              "before the first chunk arrives)")
         _, num_cores = _check_core_ids(np.zeros(0, dtype=np.int64), 0,
                                        num_cores)
+        checked = ((addrs, _check_core_ids(core, len(addrs), num_cores)[0])
+                   for addrs, core in chunks)
+        return cast(MultiCoreHierarchyResult, self._pipeline(
+            spec, checked, num_cores, seed, keep_hits, chunk_bytes,
+            multicore=True, one_shot=False))
+
+    def _pipeline(self, spec: PolicySpec,
+                  chunks: Iterable[tuple[AddressArray, IndexArray | None]],
+                  num_cores: int, seed: int, keep_hits: bool,
+                  chunk_bytes: int | None, *, multicore: bool,
+                  one_shot: bool) -> HierarchyResult:
+        """The L1I -> miss count -> L2 pipeline behind every entry point.
+
+        ``chunks`` yields ``(addresses, core_ids)`` in trace order, with
+        validated core ids (None for a single-core run).  Each chunk's
+        resolved L1I misses are buffered up to ``chunk_bytes`` (None:
+        forwarded at once), given their running per-``(core, line)`` L1I
+        miss counts by a :class:`MissCountTable`, and fed to the L2
+        stream.  ``one_shot`` marks a single-chunk run: both stage
+        streams resolve it in one dispatch, and its spans are the stage
+        spans (``l1_stage`` / ``miss_extract`` / ``l2_stage``) rather
+        than per-chunk ``stream_ingest`` ones.
+        """
+        if chunk_bytes is not None and chunk_bytes <= 0:
+            raise ValueError(f"chunk_bytes must be positive or None, "
+                             f"got {chunk_bytes}")
         config = self.config
         tel = self.telemetry
         span = span_factory(tel)
+        stage_span = span if one_shot else null_span
+        ingest_span = null_span if one_shot else span
         l1_tel = Telemetry() if tel is not None else None
         l2_tel = Telemetry() if tel is not None else None
         start = time.perf_counter()
         core_bits, core_pad, v_l1 = _core_virtual_layout(config.l1, num_cores)
-        offset_bits = config.l1.offset_bits
-        line_cap_bits = 64 - offset_bits - core_bits
+        core_mask = np.uint64(core_pad - 1)
+        offset_bits = np.uint64(config.l1.offset_bits)
+        line_cap_bits = 64 - config.l1.offset_bits - core_bits
 
-        l1_engine = self._stage_engine(v_l1, l1_tel)
-        l2_engine = self._stage_engine(config.l2, l2_tel,
-                                       num_cores=num_cores)
-        l1_stream = l1_engine.stream(PolicySpec(config.l1_policy), seed=seed,
-                                     keep_hits=keep_hits)
-        l2_stream = l2_engine.stream(spec, seed=seed, keep_hits=keep_hits)
-
+        l1 = EngineStream(self._stage_engine(v_l1, l1_tel),
+                          PolicySpec(config.l1_policy), seed=seed,
+                          keep_hits=keep_hits, one_shot=one_shot)
+        l2 = EngineStream(self._stage_engine(config.l2, l2_tel, num_cores),
+                          spec, seed=seed, keep_hits=keep_hits,
+                          miss_lines=False, one_shot=one_shot)
         miss_counts = MissCountTable()
+        n_by_core = np.zeros(num_cores, dtype=np.int64)
+        l1_miss_by_core = np.zeros(num_cores, dtype=np.int64)
         pending: list[AddressArray] = []
         pending_bytes = 0
-        n_by_core = np.zeros(num_cores, dtype=np.int64)
-        l2_miss_by_core = np.zeros(num_cores, dtype=np.int64)
 
-        def take_l2_misses() -> None:
-            """Fold the L2 stream's latest per-miss core attribution into
-            the fairness tally (valid right after a feed or flush)."""
-            nonlocal l2_miss_by_core
-            attributed = l2_stream.last_miss_cores
-            if attributed is not None and len(attributed):
-                l2_miss_by_core += np.bincount(attributed,
-                                               minlength=num_cores)
-
-        def advance(miss_vlines: AddressArray) -> None:
-            if len(miss_vlines) == 0:
-                return
+        def forward() -> None:
+            """Give the buffered L1I misses their measured running miss
+            counts and feed them (with their cores) to the L2 stream."""
+            nonlocal pending_bytes, l1_miss_by_core
+            batch = pending[0] if len(pending) == 1 else np.concatenate(pending)
+            pending.clear()
+            pending_bytes = 0
             with span("miss_extract"):
-                cost = miss_counts.advance(miss_vlines)
-                miss_cores = (miss_vlines
-                              & np.uint64(core_pad - 1)).astype(np.int64)
-                miss_addrs = (miss_vlines >> np.uint64(core_bits)) \
-                    << np.uint64(offset_bits)
-            l2_stream.feed(miss_addrs, cost=cost, core=miss_cores)
-            take_l2_misses()
+                # The virtual line *is* the (core, line) key, so each
+                # private L1I's miss count for a line advances on its own.
+                cost = miss_counts.advance(batch)
+                miss_core = None
+                if multicore:
+                    miss_core = (batch & core_mask).astype(np.int64)
+                    l1_miss_by_core += np.bincount(miss_core,
+                                                   minlength=num_cores)
+                if core_bits:
+                    batch = batch >> np.uint64(core_bits)
+            with stage_span("l2_stage"):
+                l2.feed(batch << offset_bits, cost, miss_core)
 
-        def enqueue(miss_vlines: AddressArray, flush: bool = False) -> None:
-            nonlocal pending_bytes
-            if len(miss_vlines):
-                pending.append(miss_vlines)
-                pending_bytes += miss_vlines.nbytes
-            if pending and (flush or chunk_bytes is None
-                            or pending_bytes >= chunk_bytes):
-                batch = (pending[0] if len(pending) == 1
-                         else np.concatenate(pending))
-                pending.clear()
-                pending_bytes = 0
-                advance(batch)
+        def ingest(pair: tuple[AddressArray, IndexArray | None]) -> None:
+            """Run one chunk through the L1 stream, buffering its misses."""
+            nonlocal pending_bytes, n_by_core
+            addrs = np.ascontiguousarray(pair[0], dtype=np.uint64)
+            core = pair[1]
+            if core is not None:
+                n_by_core += np.bincount(core, minlength=num_cores)
+                if core_bits:
+                    lines = addrs >> offset_bits
+                    if len(lines) and int(lines.max()) >> line_cap_bits:
+                        raise ValueError(
+                            f"address lines need more than {line_cap_bits} "
+                            f"bits; no headroom for {core_bits} core bits")
+                    addrs = ((lines << np.uint64(core_bits))
+                             | core.astype(np.uint64)) << offset_bits
+            with stage_span("l1_stage"):
+                _, misses = l1.feed(addrs)
+            if misses is not None and len(misses):
+                pending.append(misses)
+                pending_bytes += misses.nbytes
+                if chunk_bytes is None or pending_bytes >= chunk_bytes:
+                    forward()
 
-        chunk_iter = iter(chunks)
-        while True:
-            with span("stream_ingest"):
-                pair = next(chunk_iter, None)
-            if pair is None:
-                break
-            addr_chunk, core_chunk = pair
-            addr_chunk = np.ascontiguousarray(addr_chunk, dtype=np.uint64)
-            core_chunk, _ = _check_core_ids(core_chunk, len(addr_chunk),
-                                            num_cores)
-            line_chunk = addr_chunk >> np.uint64(offset_bits)
-            if len(line_chunk) and core_bits and (
-                    int(line_chunk.max()) >> line_cap_bits):
-                raise ValueError(
-                    f"address lines need more than {line_cap_bits} bits; "
-                    f"no headroom for {core_bits} core bits")
-            n_by_core += np.bincount(core_chunk, minlength=num_cores)
-            vlines = (line_chunk << np.uint64(core_bits)) \
-                | core_chunk.astype(np.uint64)
-            _, miss_vlines = l1_stream.feed(vlines << np.uint64(offset_bits))
-            enqueue(miss_vlines)
-        _, tail_miss = l1_stream.flush()
-        enqueue(tail_miss, flush=True)
-        l2_stream.flush()
-        take_l2_misses()
+        feed_chunks(chunks, ingest_span, ingest)
+        if not one_shot:
+            _, misses = l1.flush()
+            if misses is not None and len(misses):
+                pending.append(misses)
+        if pending:
+            forward()
 
-        l1_result = l1_stream.finish()
-        l2_result = l2_stream.finish()
+        l1_result = l1.finish()
+        l2_result = l2.finish()
         l2_result.policy_stats.setdefault("unique_l1_miss_lines",
                                           len(miss_counts))
-        # Per-core L1I misses come straight off the compacted table: the
-        # key's low bits are the core, the count is that (core, line)'s
-        # total misses.
-        key_cores = (miss_counts.keys
-                     & np.uint64(core_pad - 1)).astype(np.int64)
-        l1_miss_by_core = np.bincount(
-            key_cores, weights=miss_counts.counts,
-            minlength=num_cores).astype(np.int64)
-        per_core = _per_core_stats(num_cores, n_by_core, l1_miss_by_core,
-                                   l2_miss_by_core)
+        per_core: list[dict[str, Any]] | None = None
+        if multicore:
+            per_core = _per_core_stats(num_cores, n_by_core, l1_miss_by_core,
+                                       l2.miss_by_core)
         elapsed = time.perf_counter() - start
-        telemetry_payload = None
         if tel is not None:
             tel.merge_prefixed(l1_tel, "l1.")
             tel.merge_prefixed(l2_tel, "l2.")
-            _record_per_core(tel, per_core)
+            # The merged payload is the single canonical blob; drop the
+            # per-stage copies so the serialized result stays compact.
             l1_result.telemetry = None
             l2_result.telemetry = None
-            telemetry_payload = tel.to_dict()
-        return MultiCoreHierarchyResult(
-            policy=spec.name, n=l1_result.n, l1=l1_result, l2=l2_result,
-            elapsed_s=elapsed, telemetry=telemetry_payload,
-            num_cores=num_cores, per_core=per_core)
+        return _hierarchy_result(spec.name, l1_result.n, l1_result, l2_result,
+                                 elapsed, tel, num_cores, per_core)
+
+    def _stage_engine(self, config: CacheConfig,
+                      telemetry: Telemetry | None,
+                      num_cores: int = 1) -> BatchedEngine:
+        return BatchedEngine(config, telemetry=telemetry,
+                             sanitizer=self.sanitizer,
+                             kernel_backend=self.kernel_backend,
+                             compiled_provider=self.compiled_provider,
+                             num_cores=num_cores)
 
 
 class HierarchyReferenceEngine:
     """Naive per-access oracle: L1I lookup, miss counting, and L2 access
-    interleaved in trace order, one Python step per fetch."""
+    interleaved in trace order, one Python step per fetch.  A
+    single-core run is the 1-core case of the multi-core walk."""
 
     def __init__(self, config: HierarchyConfig | None = None,
                  telemetry: Telemetry | None = None,
@@ -773,152 +671,7 @@ class HierarchyReferenceEngine:
     def run(self, addresses: AddressArray, policy: PolicySpec, seed: int = 0,
             keep_hits: bool = True) -> HierarchyResult:
         spec = require_policy_spec(policy, caller="HierarchyReferenceEngine.run")
-        config = self.config
-        tel = self.telemetry
-        span = span_factory(tel)
-        l1c, l2c = config.l1, config.l2
-        n = len(addresses)
-        start = time.perf_counter()
-
-        l1_impl = make_naive(config.l1_policy, l1c.num_sets, l1c.ways)
-        l2_impl = make_naive(spec.name, l2c.num_sets, l2c.ways, **spec.params)
-        if self.sanitizer is not None:
-            self.sanitizer.attach_naive(l1_impl)
-            self.sanitizer.attach_naive(l2_impl)
-        rng = (np.random.default_rng(seed)
-               if policy_needs_rng(spec.name) else None)
-
-        l1_tags = [[None] * l1c.ways for _ in range(l1c.num_sets)]
-        l2_tags = [[None] * l2c.ways for _ in range(l2c.num_sets)]
-        miss_counts: dict[int, int] = {}
-
-        l1_hits = np.empty(n, dtype=bool)
-        l2_hits_list = []
-        l1_set_mask = l1c.num_sets - 1
-        l2_set_mask = l2c.num_sets - 1
-        offset_bits = l1c.offset_bits  # == l2c.offset_bits (validated)
-        j = 0  # L2 access index (position in the miss stream)
-
-        # Generic per-(set, way) lifetime accounting, per level, matching
-        # the names the instrumented batched kernels produce.
-        track = tel is not None
-        l1_line_hits = [0] * (l1c.num_sets * l1c.ways) if track else None
-        l2_line_hits = [0] * (l2c.num_sets * l2c.ways) if track else None
-        l1_fills = l1_evictions = l1_dead = 0
-        l2_fills = l2_evictions = l2_dead = 0
-
-        with span("naive_loop"):
-            for i, addr in enumerate(addresses.tolist()):
-                line = addr >> offset_bits
-                s1 = line & l1_set_mask
-                t1 = line >> l1c.set_bits
-                set_tags = l1_tags[s1]
-                way = -1
-                for w in range(l1c.ways):
-                    if set_tags[w] == t1:
-                        way = w
-                        break
-                if way >= 0:
-                    l1_impl.on_hit(s1, way, i)
-                    if track:
-                        l1_line_hits[s1 * l1c.ways + way] += 1
-                    l1_hits[i] = True
-                    continue
-                # L1I miss: fill L1, bump the line's measured miss count, go to L2.
-                l1_hits[i] = False
-                for w in range(l1c.ways):
-                    if set_tags[w] is None:
-                        way = w
-                        break
-                else:
-                    way = l1_impl.find_victim(s1, 0.0)
-                    l1_impl.replaced(s1, way)
-                    if track:
-                        victim_hits = l1_line_hits[s1 * l1c.ways + way]
-                        tel.observe("l1.line_hits", victim_hits)
-                        l1_evictions += 1
-                        if victim_hits == 0:
-                            l1_dead += 1
-                set_tags[way] = t1
-                l1_impl.on_fill(s1, way, i, 0.0)
-                if track:
-                    l1_line_hits[s1 * l1c.ways + way] = 0
-                    l1_fills += 1
-
-                cost_i = miss_counts.get(line, 0) + 1
-                miss_counts[line] = cost_i
-                u_j = rng.random() if rng is not None else 0.0
-
-                s2 = line & l2_set_mask
-                t2 = line >> l2c.set_bits
-                set_tags2 = l2_tags[s2]
-                way = -1
-                for w in range(l2c.ways):
-                    if set_tags2[w] == t2:
-                        way = w
-                        break
-                if way >= 0:
-                    l2_impl.on_hit(s2, way, j)
-                    if track:
-                        l2_line_hits[s2 * l2c.ways + way] += 1
-                    l2_hits_list.append(True)
-                else:
-                    for w in range(l2c.ways):
-                        if set_tags2[w] is None:
-                            way = w
-                            break
-                    else:
-                        way = l2_impl.find_victim(s2, u_j)
-                        l2_impl.replaced(s2, way)
-                        if track:
-                            victim_hits = l2_line_hits[s2 * l2c.ways + way]
-                            tel.observe("l2.line_hits", victim_hits)
-                            l2_evictions += 1
-                            if victim_hits == 0:
-                                l2_dead += 1
-                    set_tags2[way] = t2
-                    l2_impl.on_fill(s2, way, j, u_j, cost_i)
-                    if track:
-                        l2_line_hits[s2 * l2c.ways + way] = 0
-                        l2_fills += 1
-                    l2_hits_list.append(False)
-                j += 1
-
-        elapsed = time.perf_counter() - start
-        l1_hit_count = int(l1_hits.sum())
-        l2_hits = np.array(l2_hits_list, dtype=bool)
-        l2_hit_count = int(l2_hits.sum())
-        if track:
-            for prefix, fills, evictions, dead, cfg, tags_table, hits_table in (
-                    ("l1.", l1_fills, l1_evictions, l1_dead, l1c, l1_tags,
-                     l1_line_hits),
-                    ("l2.", l2_fills, l2_evictions, l2_dead, l2c, l2_tags,
-                     l2_line_hits)):
-                tel.inc(prefix + "fills", fills)
-                tel.inc(prefix + "evictions", evictions)
-                tel.inc(prefix + "dead_on_fill", dead)
-                for s in range(cfg.num_sets):
-                    for w in range(cfg.ways):
-                        if tags_table[s][w] is not None:
-                            tel.observe(prefix + "resident_line_hits",
-                                        hits_table[s * cfg.ways + w])
-            tel.inc("l1.hits", l1_hit_count)
-            tel.inc("l1.misses", n - l1_hit_count)
-            tel.inc("l2.hits", l2_hit_count)
-            tel.inc("l2.misses", j - l2_hit_count)
-            tel.inc("engine.accesses", n)
-            l1_impl.telemetry_finalize(tel, prefix="l1.")
-            l2_impl.telemetry_finalize(tel, prefix="l2.")
-        l1_result = SimResult(policy=config.l1_policy, n=n, hit_count=l1_hit_count,
-                              miss_count=n - l1_hit_count, elapsed_s=elapsed,
-                              hits=l1_hits if keep_hits else None, policy_stats={})
-        l2_result = SimResult(policy=spec.name, n=j, hit_count=l2_hit_count,
-                              miss_count=j - l2_hit_count, elapsed_s=elapsed,
-                              hits=l2_hits if keep_hits else None,
-                              policy_stats={"unique_l1_miss_lines": len(miss_counts)})
-        return HierarchyResult(policy=spec.name, n=n, l1=l1_result, l2=l2_result,
-                               elapsed_s=elapsed,
-                               telemetry=tel.to_dict() if tel is not None else None)
+        return self._walk(addresses, None, 1, spec, seed, keep_hits)
 
     def run_multicore(self, addresses: AddressArray, core_ids: CoreIdArray,
                       policy: PolicySpec, num_cores: int | None = None,
@@ -931,13 +684,21 @@ class HierarchyReferenceEngine:
         """
         spec = require_policy_spec(
             policy, caller="HierarchyReferenceEngine.run_multicore")
+        core, num_cores = _check_core_ids(core_ids, len(addresses), num_cores)
+        return cast(MultiCoreHierarchyResult, self._walk(
+            addresses, core, num_cores, spec, seed, keep_hits))
+
+    def _walk(self, addresses: AddressArray, core: IndexArray | None,
+              num_cores: int, spec: PolicySpec, seed: int,
+              keep_hits: bool) -> HierarchyResult:
+        """The one per-access loop.  ``core`` None is a single-core run:
+        every access is core 0 and the result has no per-core rows."""
         config = self.config
         tel = self.telemetry
         span = span_factory(tel)
         l1c, l2c = config.l1, config.l2
         n = len(addresses)
-        core, num_cores = _check_core_ids(core_ids, n, num_cores)
-        core_list = core.tolist()
+        core_list = core.tolist() if core is not None else [0] * n
         start = time.perf_counter()
 
         l1_impls = [make_naive(config.l1_policy, l1c.num_sets, l1c.ways)
@@ -959,14 +720,16 @@ class HierarchyReferenceEngine:
 
         l1_hits = np.empty(n, dtype=bool)
         l2_hits_list = []
-        l2_miss_cores = []
         l1_set_mask = l1c.num_sets - 1
         l2_set_mask = l2c.num_sets - 1
         offset_bits = l1c.offset_bits  # == l2c.offset_bits (validated)
         j = 0  # L2 access index (position in the combined miss stream)
         n_by_core = [0] * num_cores
         l1_miss_by_core = [0] * num_cores
+        l2_miss_by_core = [0] * num_cores
 
+        # Generic per-(set, way) lifetime accounting, per level, matching
+        # the names the instrumented batched kernels produce.
         track = tel is not None
         l1_line_hits = ([[0] * (l1c.num_sets * l1c.ways)
                          for _ in range(num_cores)] if track else None)
@@ -1054,37 +817,36 @@ class HierarchyReferenceEngine:
                         l2_line_hits[s2 * l2c.ways + way] = 0
                         l2_fills += 1
                     l2_hits_list.append(False)
-                    l2_miss_cores.append(c)
+                    l2_miss_by_core[c] += 1
                 j += 1
 
         elapsed = time.perf_counter() - start
         l1_hit_count = int(l1_hits.sum())
         l2_hits = np.array(l2_hits_list, dtype=bool)
         l2_hit_count = int(l2_hits.sum())
-        l2_miss_by_core = np.bincount(
-            np.array(l2_miss_cores, dtype=np.int64), minlength=num_cores)
-        per_core = _per_core_stats(num_cores,
-                                   np.array(n_by_core, dtype=np.int64),
-                                   np.array(l1_miss_by_core, dtype=np.int64),
-                                   l2_miss_by_core)
+        per_core: list[dict[str, Any]] | None = None
+        if core is not None:
+            per_core = _per_core_stats(
+                num_cores, np.array(n_by_core, dtype=np.int64),
+                np.array(l1_miss_by_core, dtype=np.int64),
+                np.array(l2_miss_by_core, dtype=np.int64))
         if track:
-            tel.inc("l1.fills", l1_fills)
-            tel.inc("l1.evictions", l1_evictions)
-            tel.inc("l1.dead_on_fill", l1_dead)
-            for c in range(num_cores):
-                for s in range(l1c.num_sets):
-                    for w in range(l1c.ways):
-                        if l1_tags[c][s][w] is not None:
-                            tel.observe("l1.resident_line_hits",
-                                        l1_line_hits[c][s * l1c.ways + w])
-            tel.inc("l2.fills", l2_fills)
-            tel.inc("l2.evictions", l2_evictions)
-            tel.inc("l2.dead_on_fill", l2_dead)
-            for s in range(l2c.num_sets):
-                for w in range(l2c.ways):
-                    if l2_tags[s][w] is not None:
-                        tel.observe("l2.resident_line_hits",
-                                    l2_line_hits[s * l2c.ways + w])
+            # The shared L2 is a level with one tag table, the L1 one
+            # per core.
+            for prefix, fills, evictions, dead, cfg, tables, hit_tables in (
+                    ("l1.", l1_fills, l1_evictions, l1_dead, l1c, l1_tags,
+                     l1_line_hits),
+                    ("l2.", l2_fills, l2_evictions, l2_dead, l2c, [l2_tags],
+                     [l2_line_hits])):
+                tel.inc(prefix + "fills", fills)
+                tel.inc(prefix + "evictions", evictions)
+                tel.inc(prefix + "dead_on_fill", dead)
+                for tags_table, hits_table in zip(tables, hit_tables):
+                    for s in range(cfg.num_sets):
+                        for w in range(cfg.ways):
+                            if tags_table[s][w] is not None:
+                                tel.observe(prefix + "resident_line_hits",
+                                            hits_table[s * cfg.ways + w])
             tel.inc("l1.hits", l1_hit_count)
             tel.inc("l1.misses", n - l1_hit_count)
             tel.inc("l2.hits", l2_hit_count)
@@ -1093,7 +855,6 @@ class HierarchyReferenceEngine:
             for impl in l1_impls:
                 impl.telemetry_finalize(tel, prefix="l1.")
             l2_impl.telemetry_finalize(tel, prefix="l2.")
-            _record_per_core(tel, per_core)
         l1_result = SimResult(policy=config.l1_policy, n=n,
                               hit_count=l1_hit_count,
                               miss_count=n - l1_hit_count, elapsed_s=elapsed,
@@ -1104,11 +865,20 @@ class HierarchyReferenceEngine:
                               hits=l2_hits if keep_hits else None,
                               policy_stats={"unique_l1_miss_lines":
                                             len(miss_counts)})
-        return MultiCoreHierarchyResult(
-            policy=spec.name, n=n, l1=l1_result, l2=l2_result,
-            elapsed_s=elapsed,
-            telemetry=tel.to_dict() if tel is not None else None,
-            num_cores=num_cores, per_core=per_core)
+        return _hierarchy_result(spec.name, n, l1_result, l2_result, elapsed,
+                                 tel, num_cores, per_core)
+
+
+def _hierarchy_engine(config: HierarchyConfig | None, engine: str
+                      ) -> BatchedHierarchyEngine | HierarchyReferenceEngine:
+    if engine == "batched":
+        return BatchedHierarchyEngine(config)
+    if engine == "compiled":
+        return BatchedHierarchyEngine(config, kernel_backend="compiled")
+    if engine == "reference":
+        return HierarchyReferenceEngine(config)
+    raise ValueError(f"unknown engine {engine!r} "
+                     f"(expected 'batched', 'compiled', or 'reference')")
 
 
 def simulate_multicore(addresses: AddressArray, core_ids: CoreIdArray,
@@ -1118,30 +888,12 @@ def simulate_multicore(addresses: AddressArray, core_ids: CoreIdArray,
                        engine: str = "batched") -> MultiCoreHierarchyResult:
     """Convenience wrapper: run the N-core shared-L2 hierarchy on any
     engine."""
-    if engine == "batched":
-        return BatchedHierarchyEngine(config).run_multicore(
-            addresses, core_ids, policy, num_cores=num_cores, seed=seed)
-    if engine == "compiled":
-        return BatchedHierarchyEngine(config, kernel_backend="compiled") \
-            .run_multicore(addresses, core_ids, policy, num_cores=num_cores,
-                           seed=seed)
-    if engine == "reference":
-        return HierarchyReferenceEngine(config).run_multicore(
-            addresses, core_ids, policy, num_cores=num_cores, seed=seed)
-    raise ValueError(f"unknown engine {engine!r} "
-                     f"(expected 'batched', 'compiled', or 'reference')")
+    return _hierarchy_engine(config, engine).run_multicore(
+        addresses, core_ids, policy, num_cores=num_cores, seed=seed)
 
 
 def simulate_hierarchy(addresses: AddressArray, policy: PolicySpec,
                        config: HierarchyConfig | None = None, seed: int = 0,
                        engine: str = "batched") -> HierarchyResult:
     """Convenience wrapper: run the two-level hierarchy on any engine."""
-    if engine == "batched":
-        return BatchedHierarchyEngine(config).run(addresses, policy, seed=seed)
-    if engine == "compiled":
-        return BatchedHierarchyEngine(config, kernel_backend="compiled").run(
-            addresses, policy, seed=seed)
-    if engine == "reference":
-        return HierarchyReferenceEngine(config).run(addresses, policy, seed=seed)
-    raise ValueError(f"unknown engine {engine!r} "
-                     f"(expected 'batched', 'compiled', or 'reference')")
+    return _hierarchy_engine(config, engine).run(addresses, policy, seed=seed)
